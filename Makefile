@@ -10,9 +10,9 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: check vet vuvuzela-vet staticcheck govulncheck lint build test race shardtest restart-matrix fuzz bench bench-record bench-entry bench-privacy example-smoke clean
+.PHONY: check vet vuvuzela-vet staticcheck govulncheck lint build test race shardtest restart-matrix roundbench-test fuzz bench bench-record bench-entry bench-privacy example-smoke clean
 
-check: lint build race shardtest restart-matrix fuzz
+check: lint build race shardtest restart-matrix roundbench-test fuzz
 
 vet:
 	$(GO) vet ./...
@@ -59,6 +59,12 @@ shardtest:
 # between pipelined rounds — plus the no-persistence replay controls.
 restart-matrix:
 	$(GO) test -race -run 'Restart|Rejoin|RoundState|Reissues' -timeout 5m ./...
+
+# The round benchmark (roundbench/) is a module of its own, so the root
+# `go vet ./...` and `go test ./...` never see it; vet and test it in
+# place, against this checkout's packages.
+roundbench-test:
+	cd roundbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short coverage-guided smoke over the authenticated-transport parsers
 # and the round-state loaders (each target also runs its seed corpus in

@@ -139,9 +139,7 @@ func TestAbortedRoundCleansPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(150 * time.Millisecond)
-	rs.mu.Lock()
-	absorbed := len(rs.subs)
-	rs.mu.Unlock()
+	absorbed := rs.Submitted()
 	if absorbed != 0 {
 		t.Fatalf("aborted round absorbed %d submissions", absorbed)
 	}

@@ -10,7 +10,11 @@
 // client connections and forward one validated partial batch per round
 // over an authenticated pipe (ServeFrontends, wire.KindFrontBatch).
 // Clients may also connect to the coordinator directly (Serve) — small
-// deployments and tests skip the frontend tier entirely.
+// deployments and tests skip the frontend tier entirely. Direct clients
+// and frontends run the same collection core (internal/collect): one
+// bounded client queue, one snapshot round-membership state, and one
+// client submission loop. Frontend pipes join each round's snapshot as
+// members whose submission is a whole partial batch.
 //
 // It coordinates both protocols: conversation rounds (with a reply path)
 // and dialing rounds (publish-only; clients fetch buckets from the CDN).
@@ -27,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"vuvuzela/internal/collect"
 	"vuvuzela/internal/crypto/box"
 	"vuvuzela/internal/dial"
 	"vuvuzela/internal/mixnet"
@@ -141,9 +146,9 @@ type Coordinator struct {
 	cfg Config
 
 	mu      sync.Mutex
-	clients map[*clientConn]struct{}
-	fronts  map[*clientConn]struct{}
-	pending map[wire.Proto]*roundState
+	clients map[*collect.Conn]struct{}
+	fronts  map[*collect.Conn]struct{}
+	pending map[wire.Proto]*collect.Round
 	convoR  uint64
 	dialR   uint64
 
@@ -152,156 +157,6 @@ type Coordinator struct {
 
 	closeOnce sync.Once
 	closeCh   chan struct{}
-}
-
-// clientConn is one connected client or entry-frontend pipe. Outbound
-// messages go through a buffered queue drained by a dedicated writer
-// goroutine, so one stalled peer can never block a round's
-// announce/reply loop — the entry-server DoS resilience §9 calls for. A
-// peer whose queue overflows is dropped.
-type clientConn struct {
-	conn   *wire.Conn
-	out    chan *wire.Message
-	closed chan struct{}
-	once   sync.Once
-	// front marks an entry-frontend pipe: its announces carry the
-	// submit-timeout budget, its submissions arrive as
-	// wire.KindFrontBatch, and its replies leave as
-	// wire.KindFrontReplies.
-	front bool
-}
-
-// errClientStalled marks a client dropped for not draining its queue.
-var errClientStalled = errors.New("coordinator: client stalled")
-
-func newClientConn(conn *wire.Conn) *clientConn {
-	cc := &clientConn{
-		conn:   conn,
-		out:    make(chan *wire.Message, 64),
-		closed: make(chan struct{}),
-	}
-	go cc.writeLoop()
-	return cc
-}
-
-func (cc *clientConn) writeLoop() {
-	for {
-		select {
-		case m := <-cc.out:
-			if err := cc.conn.Send(m); err != nil {
-				cc.close()
-				return
-			}
-		case <-cc.closed:
-			return
-		}
-	}
-}
-
-func (cc *clientConn) send(m *wire.Message) error {
-	select {
-	case cc.out <- m:
-		return nil
-	case <-cc.closed:
-		return errClientStalled
-	default:
-		// Queue full: the client is not reading. Drop it rather than
-		// let it hold up the round.
-		cc.close()
-		return errClientStalled
-	}
-}
-
-func (cc *clientConn) close() {
-	cc.once.Do(func() {
-		close(cc.closed)
-		cc.conn.Close()
-	})
-}
-
-// roundState collects one round's submissions from the announce-time
-// snapshot of direct clients and frontend pipes.
-type roundState struct {
-	round uint64
-	// perClient is the fixed number of onions each end client must
-	// submit (ConvoExchanges for conversations, 1 for dialing).
-	perClient int
-
-	mu sync.Mutex
-	// members is the announce-time snapshot: only these connections may
-	// contribute. A connection that joined after the announcement waits
-	// for the next round — letting it vote here would close the round
-	// early while the snapshot-ordered batch build dropped its onions.
-	members map[*clientConn]struct{}
-	// subs holds each member's recorded submission: exactly perClient
-	// onions for a direct client, M·perClient onions in demux order for
-	// a frontend's partial batch.
-	subs map[*clientConn][][]byte
-	// missing counts members that have neither submitted nor
-	// disconnected; full fires when it reaches zero.
-	missing int
-	// closed marks the round finished — batch built or aborted — after
-	// which record and drop are rejected.
-	closed bool
-	full   chan struct{}
-}
-
-// Round-membership rejections. Callers treat these as per-message noise
-// (drop the submission, keep the connection): none of them indicate a
-// broken peer, just unfortunate timing.
-var (
-	errRoundClosed = errors.New("coordinator: round closed")
-	errNotMember   = errors.New("coordinator: not in round snapshot")
-	errDuplicate   = errors.New("coordinator: duplicate submission")
-)
-
-// record stores a member's submission and closes the round once the
-// last outstanding member is accounted for. Non-members are rejected so
-// a late joiner can neither fire full early nor have its onions
-// silently dropped by the snapshot-ordered batch build.
-func (rs *roundState) record(cc *clientConn, onions [][]byte) error {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.closed {
-		return errRoundClosed
-	}
-	if _, ok := rs.members[cc]; !ok {
-		return errNotMember
-	}
-	if _, dup := rs.subs[cc]; dup {
-		return errDuplicate
-	}
-	rs.subs[cc] = onions
-	rs.missing--
-	if rs.missing == 0 {
-		close(rs.full)
-	}
-	return nil
-}
-
-// drop removes a disconnected member that has not submitted, so a round
-// with churn closes as soon as every remaining member has submitted
-// instead of burning the full SubmitTimeout waiting on a dead
-// connection. A member that already submitted keeps its slot — its
-// onions are in the batch whether or not anyone is left to receive the
-// reply.
-func (rs *roundState) drop(cc *clientConn) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.closed {
-		return
-	}
-	if _, ok := rs.members[cc]; !ok {
-		return
-	}
-	if _, submitted := rs.subs[cc]; submitted {
-		return
-	}
-	delete(rs.members, cc)
-	rs.missing--
-	if rs.missing == 0 {
-		close(rs.full)
-	}
 }
 
 // New creates a coordinator.
@@ -338,9 +193,9 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	co := &Coordinator{
 		cfg:     cfg,
-		clients: make(map[*clientConn]struct{}),
-		fronts:  make(map[*clientConn]struct{}),
-		pending: make(map[wire.Proto]*roundState),
+		clients: make(map[*collect.Conn]struct{}),
+		fronts:  make(map[*collect.Conn]struct{}),
+		pending: make(map[wire.Proto]*collect.Round),
 		chain:   make(map[wire.Proto]*wire.Conn),
 		closeCh: make(chan struct{}),
 	}
@@ -382,11 +237,15 @@ func (co *Coordinator) Serve(l net.Listener) error {
 				return err
 			}
 		}
-		cc := newClientConn(wire.NewConn(raw))
+		c := collect.NewConn(wire.NewConn(raw), collect.ClientQueue)
 		co.mu.Lock()
-		co.clients[cc] = struct{}{}
+		co.clients[c] = struct{}{}
 		co.mu.Unlock()
-		go co.readLoop(cc)
+		go collect.ServeClient(c, co.openRound, func(c *collect.Conn) {
+			co.mu.Lock()
+			delete(co.clients, c)
+			co.mu.Unlock()
+		})
 	}
 }
 
@@ -429,76 +288,57 @@ func (co *Coordinator) handleFrontend(raw net.Conn) {
 		return
 	}
 	raw.SetDeadline(time.Time{})
-	cc := newClientConn(wire.NewConn(sec))
-	cc.front = true
+	// A frontend answers each announcement with one batch and the
+	// coordinator never has more than wire.MaxRoundsInFlight rounds open,
+	// so a pipe that fills a queue of that depth is not draining.
+	c := collect.NewConn(wire.NewConn(sec), wire.MaxRoundsInFlight)
 	co.mu.Lock()
 	select {
 	case <-co.closeCh:
 		co.mu.Unlock()
-		cc.close()
+		c.Close()
 		return
 	default:
 	}
-	co.fronts[cc] = struct{}{}
+	co.fronts[c] = struct{}{}
 	co.mu.Unlock()
-	co.readLoop(cc)
+	co.serveFront(c)
 }
 
-// readLoop receives submissions from one connection — wire.KindSubmit
-// from a direct client, wire.KindFrontBatch from a frontend pipe — and
-// routes them to the open round. A malformed submission (wrong exchange
-// count, bad frontend framing) drops the connection, the same policy as
-// a stalled writer: the peer is broken, and silently ignoring it would
-// leave an honest-but-misconfigured client waiting forever for a reply
-// that can never be addressed to it. On disconnect, every pending round
-// is notified so churn no longer burns the full SubmitTimeout.
-func (co *Coordinator) readLoop(cc *clientConn) {
-	defer func() {
+// serveFront receives one frontend pipe's partial batches and routes
+// them to the open round; on disconnect the pipe leaves every open round
+// like a departing client. Frontends speak only wire.KindFrontBatch: any
+// other frame, or a batch that fails wire.CheckFrontBatch, drops the
+// pipe — a broken frontend is cut off, not waited on.
+func (co *Coordinator) serveFront(c *collect.Conn) {
+	defer collect.Leave(c, co.openRound, func(c *collect.Conn) {
 		co.mu.Lock()
-		if cc.front {
-			delete(co.fronts, cc)
-		} else {
-			delete(co.clients, cc)
-		}
-		open := make([]*roundState, 0, len(co.pending))
-		for _, rs := range co.pending {
-			open = append(open, rs)
-		}
+		delete(co.fronts, c)
 		co.mu.Unlock()
-		cc.close()
-		for _, rs := range open {
-			rs.drop(cc)
-		}
-	}()
+	})
 	for {
-		msg, err := cc.conn.Recv()
-		if err != nil {
+		msg, err := c.Recv()
+		if err != nil || msg.Kind != wire.KindFrontBatch {
 			return
 		}
-		if cc.front {
-			if msg.Kind != wire.KindFrontBatch {
-				return // frontends speak only KindFrontBatch; drop the pipe
-			}
-		} else if msg.Kind != wire.KindSubmit {
-			continue
+		rs := co.openRound(msg.Proto)
+		if rs == nil || rs.Number != msg.Round {
+			continue // late or unknown round: drop the batch
 		}
-		co.mu.Lock()
-		rs := co.pending[msg.Proto]
-		co.mu.Unlock()
-		if rs == nil || rs.round != msg.Round {
-			continue // late or unknown round: drop (client retries next round)
-		}
-		if cc.front {
-			if err := wire.CheckFrontBatch(msg, rs.perClient); err != nil {
-				return // malformed partial batch: drop the pipe
-			}
-		} else if len(msg.Body) != rs.perClient {
-			return // wrong exchange count: misconfigured client, drop it
+		if err := wire.CheckFrontBatch(msg, rs.PerClient); err != nil {
+			return
 		}
 		// Membership and duplicate rejections are per-message noise, not
-		// a broken peer: keep the connection, drop the submission.
-		_ = rs.record(cc, msg.Body)
+		// a broken peer: keep the pipe, drop the batch.
+		_ = rs.Record(c, msg.Body)
 	}
+}
+
+// openRound returns the round collecting submissions for proto, or nil.
+func (co *Coordinator) openRound(proto wire.Proto) *collect.Round {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	return co.pending[proto]
 }
 
 // commitRound burns a round number durably before any client sees its
@@ -520,7 +360,10 @@ func (co *Coordinator) commitRound(counter string, round uint64) error {
 // connected client or a frontend's partial batch. Contributor i owns
 // batch[off : off+onions] where off is the sum of earlier onion counts.
 type participant struct {
-	cc *clientConn
+	cc *collect.Conn
+	// front marks a frontend pipe: its replies leave as one
+	// wire.KindFrontReplies for all of its clients.
+	front bool
 	// onions is how many batch entries the contributor supplied:
 	// perClient for a direct client, M·perClient for a frontend.
 	onions int
@@ -596,7 +439,7 @@ func (co *Coordinator) fanoutConvo(cr *convoRound, replies [][]byte) {
 		slice := replies[off : off+p.onions]
 		off += p.onions
 		var msg *wire.Message
-		if p.cc.front {
+		if p.front {
 			msg = wire.FrontRepliesMessage(wire.ProtoConvo, cr.round, uint32(p.clients), slice)
 		} else {
 			msg = &wire.Message{
@@ -604,9 +447,7 @@ func (co *Coordinator) fanoutConvo(cr *convoRound, replies [][]byte) {
 				M: co.cfg.ConvoExchanges, Body: slice,
 			}
 		}
-		if err := p.cc.send(msg); err != nil {
-			p.cc.close()
-		}
+		_ = p.cc.Send(msg) // a failed Send has closed the stalled peer
 	}
 }
 
@@ -814,7 +655,7 @@ func (co *Coordinator) RunDialRound(ctx context.Context) (round uint64, particip
 	}
 	for _, p := range parts {
 		var msg *wire.Message
-		if p.cc.front {
+		if p.front {
 			// The dial acknowledgement on the frontend pipe: M echoes
 			// the bucket count, no body; the frontend fans out a
 			// KindReply ack to each of its clients.
@@ -822,9 +663,7 @@ func (co *Coordinator) RunDialRound(ctx context.Context) (round uint64, particip
 		} else {
 			msg = &wire.Message{Kind: wire.KindReply, Proto: wire.ProtoDial, Round: round, M: m}
 		}
-		if err := p.cc.send(msg); err != nil {
-			p.cc.close()
-		}
+		_ = p.cc.Send(msg) // a failed Send has closed the stalled peer
 	}
 	return round, countClients(parts), nil
 }
@@ -835,27 +674,15 @@ func (co *Coordinator) RunDialRound(ctx context.Context) (round uint64, particip
 // the batch).
 func (co *Coordinator) collect(ctx context.Context, proto wire.Proto, round uint64, m uint32, perClient int) ([][]byte, []participant, error) {
 	co.mu.Lock()
-	snapshot := make([]*clientConn, 0, len(co.clients)+len(co.fronts))
-	for cc := range co.clients {
-		snapshot = append(snapshot, cc)
+	snapshot := make([]*collect.Conn, 0, len(co.clients)+len(co.fronts))
+	for c := range co.clients {
+		snapshot = append(snapshot, c)
 	}
-	for cc := range co.fronts {
-		snapshot = append(snapshot, cc)
+	direct := len(snapshot) // snapshot[direct:] are frontend pipes
+	for c := range co.fronts {
+		snapshot = append(snapshot, c)
 	}
-	rs := &roundState{
-		round:     round,
-		perClient: perClient,
-		members:   make(map[*clientConn]struct{}, len(snapshot)),
-		subs:      make(map[*clientConn][][]byte, len(snapshot)),
-		missing:   len(snapshot),
-		full:      make(chan struct{}),
-	}
-	for _, cc := range snapshot {
-		rs.members[cc] = struct{}{}
-	}
-	if rs.missing == 0 {
-		close(rs.full)
-	}
+	rs := collect.NewRound(proto, round, perClient, snapshot)
 	co.pending[proto] = rs
 	co.mu.Unlock()
 
@@ -865,13 +692,13 @@ func (co *Coordinator) collect(ctx context.Context, proto wire.Proto, round uint
 	// before the coordinator gives up on them; clients ignore the field.
 	frontAnnounce := *announce
 	frontAnnounce.Bucket = uint32(co.cfg.SubmitTimeout / time.Millisecond)
-	for _, cc := range snapshot {
-		msg := announce
-		if cc.front {
-			msg = &frontAnnounce
-		}
-		if err := cc.send(msg); err != nil {
-			cc.close()
+	for i, c := range snapshot {
+		// A failed Send has closed the stalled peer, which then leaves
+		// the round like any disconnect.
+		if i < direct {
+			_ = c.Send(announce)
+		} else {
+			_ = c.Send(&frontAnnounce)
 		}
 	}
 
@@ -879,7 +706,7 @@ func (co *Coordinator) collect(ctx context.Context, proto wire.Proto, round uint
 	defer timer.Stop()
 	var roundErr error
 	select {
-	case <-rs.full:
+	case <-rs.Done():
 	case <-timer.C:
 	case <-ctx.Done():
 		roundErr = ctx.Err()
@@ -895,26 +722,25 @@ func (co *Coordinator) collect(ctx context.Context, proto wire.Proto, round uint
 		delete(co.pending, proto)
 	}
 	co.mu.Unlock()
-
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	rs.closed = true
 	if roundErr != nil {
+		rs.Abandon()
 		return nil, nil, roundErr
 	}
-	batch := make([][]byte, 0, len(rs.subs)*perClient)
-	parts := make([]participant, 0, len(rs.subs))
-	for _, cc := range snapshot {
-		onions, ok := rs.subs[cc]
-		if !ok {
+
+	subs, _ := rs.Finalize()
+	batch := make([][]byte, 0, len(subs)*perClient)
+	parts := make([]participant, 0, len(subs))
+	for i, onions := range subs {
+		if onions == nil {
 			continue
 		}
+		front := i >= direct
 		clients := 1
-		if cc.front {
+		if front {
 			clients = len(onions) / perClient
 		}
 		batch = append(batch, onions...)
-		parts = append(parts, participant{cc: cc, onions: len(onions), clients: clients})
+		parts = append(parts, participant{cc: snapshot[i], front: front, onions: len(onions), clients: clients})
 	}
 	return batch, parts, nil
 }
@@ -1095,11 +921,11 @@ func (co *Coordinator) Close() error {
 	co.closeOnce.Do(func() {
 		close(co.closeCh)
 		co.mu.Lock()
-		for cc := range co.clients {
-			cc.close()
+		for c := range co.clients {
+			c.Close()
 		}
-		for cc := range co.fronts {
-			cc.close()
+		for c := range co.fronts {
+			c.Close()
 		}
 		co.mu.Unlock()
 		co.chainMu.Lock()

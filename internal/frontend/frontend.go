@@ -3,13 +3,14 @@
 // so the chain-driving coordinator does not have to.
 //
 // A frontend accepts clients exactly like the coordinator's own client
-// listener (same wire protocol — clients cannot tell the difference),
-// relays the coordinator's round announcements to them, validates and
-// batches their submissions, and forwards one partial batch per round
-// over a single authenticated transport.Secure pipe
-// (wire.KindFrontBatch). The coordinator's reply slice for the batch
-// comes back as wire.KindFrontReplies and is demultiplexed to the
-// clients in batch order.
+// listener — both run the entry tier's one collection core
+// (internal/collect), so clients cannot tell the difference. It relays
+// the coordinator's round announcements to them, validates and batches
+// their submissions, and forwards one partial batch per round over a
+// single authenticated transport.Secure pipe (wire.KindFrontBatch). The
+// coordinator's reply slice for the batch comes back as
+// wire.KindFrontReplies and is demultiplexed to the clients in batch
+// order.
 //
 // Frontends keep zero durable round state: the coordinator owns the
 // round clock, the pipeline, and the chain RPC, so any number of
@@ -21,9 +22,9 @@
 //
 // Overload is shed, never queued unboundedly: client writer queues are
 // bounded (a stalled client is dropped, as at the coordinator), the
-// pipe's outbound queue is bounded (an overflowing partial batch is
-// dropped and its clients miss the round), and Config.MaxClients
-// refuses connections beyond the cap at accept time.
+// pipe's outbound queue is bounded (a pipe the coordinator does not
+// drain is closed, and Run reconnects), and Config.MaxClients refuses
+// connections beyond the cap at accept time.
 package frontend
 
 import (
@@ -34,6 +35,7 @@ import (
 	"sync"
 	"time"
 
+	"vuvuzela/internal/collect"
 	"vuvuzela/internal/crypto/box"
 	"vuvuzela/internal/transport"
 	"vuvuzela/internal/wire"
@@ -91,10 +93,10 @@ type Frontend struct {
 	cfg Config
 
 	mu      sync.Mutex
-	clients map[*clientConn]struct{}
-	pending map[wire.Proto]*frontRound
+	clients map[*collect.Conn]struct{}
+	pending map[wire.Proto]*collect.Round
 	await   map[roundKey]*sentRound
-	pipe    *pipe
+	pipe    *collect.Conn
 
 	closeOnce sync.Once
 	closeCh   chan struct{}
@@ -123,8 +125,8 @@ func New(cfg Config) (*Frontend, error) {
 	}
 	return &Frontend{
 		cfg:     cfg,
-		clients: make(map[*clientConn]struct{}),
-		pending: make(map[wire.Proto]*frontRound),
+		clients: make(map[*collect.Conn]struct{}),
+		pending: make(map[wire.Proto]*collect.Round),
 		await:   make(map[roundKey]*sentRound),
 		closeCh: make(chan struct{}),
 	}, nil
@@ -165,10 +167,14 @@ func (f *Frontend) Serve(l net.Listener) error {
 			raw.Close()
 			continue
 		}
-		cc := newClientConn(wire.NewConn(raw))
-		f.clients[cc] = struct{}{}
+		c := collect.NewConn(wire.NewConn(raw), collect.ClientQueue)
+		f.clients[c] = struct{}{}
 		f.mu.Unlock()
-		go f.readLoop(cc)
+		go collect.ServeClient(c, f.openRound, func(c *collect.Conn) {
+			f.mu.Lock()
+			delete(f.clients, c)
+			f.mu.Unlock()
+		})
 	}
 }
 
@@ -205,12 +211,16 @@ func (f *Frontend) runPipe(ctx context.Context) {
 	}
 	raw.SetDeadline(time.Time{})
 
-	p := newPipe(wire.NewConn(sec))
+	// The coordinator never has more than wire.MaxRoundsInFlight rounds
+	// open and the frontend sends one batch per round, so a pipe that
+	// fills a queue of that depth is not draining: it is closed, and Run
+	// reconnects.
+	p := collect.NewConn(wire.NewConn(sec), wire.MaxRoundsInFlight)
 	f.mu.Lock()
 	select {
 	case <-f.closeCh:
 		f.mu.Unlock()
-		p.close()
+		p.Close()
 		return
 	default:
 	}
@@ -227,11 +237,11 @@ func (f *Frontend) runPipe(ctx context.Context) {
 		case <-f.closeCh:
 		case <-stop:
 		}
-		p.close()
+		p.Close()
 	}()
 
 	for {
-		msg, err := p.conn.Recv()
+		msg, err := p.Recv()
 		if err != nil {
 			break
 		}
@@ -243,12 +253,12 @@ func (f *Frontend) runPipe(ctx context.Context) {
 				// The coordinator broke the reply framing; a corrupted
 				// demux would misroute onions between clients, so drop
 				// the pipe and resync on reconnect.
-				p.close()
+				p.Close()
 			}
 		}
 	}
 
-	p.close()
+	p.Close()
 	f.mu.Lock()
 	if f.pipe == p {
 		f.pipe = nil
@@ -261,7 +271,7 @@ func (f *Frontend) runPipe(ctx context.Context) {
 }
 
 // startRound begins collecting one round announced on the pipe.
-func (f *Frontend) startRound(p *pipe, ann *wire.Message) {
+func (f *Frontend) startRound(p *collect.Conn, ann *wire.Message) {
 	budget := f.cfg.CollectBudget
 	if ann.Bucket > 0 {
 		// The coordinator's submit-timeout budget (milliseconds): use
@@ -271,18 +281,18 @@ func (f *Frontend) startRound(p *pipe, ann *wire.Message) {
 	}
 
 	f.mu.Lock()
-	snapshot := make([]*clientConn, 0, len(f.clients))
-	for cc := range f.clients {
-		snapshot = append(snapshot, cc)
+	snapshot := make([]*collect.Conn, 0, len(f.clients))
+	for c := range f.clients {
+		snapshot = append(snapshot, c)
 	}
-	fr := newFrontRound(ann.Proto, ann.Round, perClientFor(ann), snapshot)
+	r := collect.NewRound(ann.Proto, ann.Round, perClientFor(ann), snapshot)
 	// A previous round of the same protocol still collecting has been
-	// abandoned by the coordinator (it announced a newer one); close it
+	// abandoned by the coordinator (it announced a newer one): close it
 	// without sending.
 	if old := f.pending[ann.Proto]; old != nil {
-		old.abandon()
+		old.Abandon()
 	}
-	f.pending[ann.Proto] = fr
+	f.pending[ann.Proto] = r
 	f.mu.Unlock()
 
 	// Relay the announcement with the budget hint zeroed: the
@@ -290,13 +300,11 @@ func (f *Frontend) startRound(p *pipe, ann *wire.Message) {
 	// connection.
 	relay := *ann
 	relay.Bucket = 0
-	for _, cc := range snapshot {
-		if err := cc.send(&relay); err != nil {
-			cc.close()
-		}
+	for _, c := range snapshot {
+		_ = c.Send(&relay) // a failed Send has closed the stalled client
 	}
 
-	go f.collectRound(p, fr, budget)
+	go f.collectRound(p, r, snapshot, budget)
 }
 
 // perClientFor derives the per-client onion count from an announcement:
@@ -314,31 +322,38 @@ func perClientFor(ann *wire.Message) int {
 // reply. An empty frontend submits its empty batch immediately, letting
 // the coordinator close the round early instead of waiting out the
 // submit timeout on an idle frontend.
-func (f *Frontend) collectRound(p *pipe, fr *frontRound, budget time.Duration) {
+func (f *Frontend) collectRound(p *collect.Conn, r *collect.Round, snapshot []*collect.Conn, budget time.Duration) {
 	timer := time.NewTimer(budget)
 	defer timer.Stop()
-	aborted := false
 	select {
-	case <-fr.full:
+	case <-r.Done():
 	case <-timer.C:
-	case <-p.closed:
-		aborted = true
+	case <-p.Closed():
+		r.Abandon()
 	case <-f.closeCh:
-		aborted = true
+		r.Abandon()
 	}
 
 	f.mu.Lock()
-	if f.pending[fr.proto] == fr {
-		delete(f.pending, fr.proto)
+	if f.pending[r.Proto] == r {
+		delete(f.pending, r.Proto)
 	}
 	f.mu.Unlock()
-	onions, order := fr.finalize()
-	if aborted {
-		return
+	subs, ok := r.Finalize()
+	if !ok {
+		return // superseded by a newer announcement, or the pipe is gone
+	}
+	onions := make([][]byte, 0, len(subs)*r.PerClient)
+	order := make([]*collect.Conn, 0, len(subs))
+	for i, sub := range subs {
+		if sub != nil {
+			onions = append(onions, sub...)
+			order = append(order, snapshot[i])
+		}
 	}
 
-	key := roundKey{fr.proto, fr.round}
-	sr := &sentRound{perClient: fr.perClient, order: order}
+	key := roundKey{r.Proto, r.Number}
+	sr := &sentRound{perClient: r.PerClient, order: order}
 	f.mu.Lock()
 	f.await[key] = sr
 	// Bound the demux state: the coordinator never has more than
@@ -357,9 +372,9 @@ func (f *Frontend) collectRound(p *pipe, fr *frontRound, budget time.Duration) {
 	}
 	f.mu.Unlock()
 
-	batch := wire.FrontBatchMessage(fr.proto, fr.round, uint32(len(order)), onions)
-	if err := p.send(batch); err != nil {
-		// Pipe gone or outbound queue overflowing: shed the round.
+	batch := wire.FrontBatchMessage(r.Proto, r.Number, uint32(len(order)), onions)
+	if err := p.Send(batch); err != nil {
+		// Pipe gone or closed for overflowing its queue: shed the round.
 		f.mu.Lock()
 		delete(f.await, key)
 		f.mu.Unlock()
@@ -389,68 +404,31 @@ func (f *Frontend) deliver(msg *wire.Message) error {
 		return err
 	}
 
+	// A failed Send below has closed that stalled client; the rest of
+	// the batch still gets its replies.
 	if msg.Proto == wire.ProtoDial {
 		// The dial acknowledgement: fan a KindReply ack with the bucket
 		// count to every client in the batch.
-		for _, cc := range sr.order {
-			ack := &wire.Message{Kind: wire.KindReply, Proto: wire.ProtoDial, Round: msg.Round, M: msg.M}
-			if err := cc.send(ack); err != nil {
-				cc.close()
-			}
+		for _, c := range sr.order {
+			_ = c.Send(&wire.Message{Kind: wire.KindReply, Proto: wire.ProtoDial, Round: msg.Round, M: msg.M})
 		}
 		return nil
 	}
 	k := sr.perClient
-	for i, cc := range sr.order {
-		reply := &wire.Message{
+	for i, c := range sr.order {
+		_ = c.Send(&wire.Message{
 			Kind: wire.KindReply, Proto: wire.ProtoConvo, Round: msg.Round,
 			M: uint32(k), Body: msg.Body[i*k : (i+1)*k],
-		}
-		if err := cc.send(reply); err != nil {
-			cc.close()
-		}
+		})
 	}
 	return nil
 }
 
-// readLoop receives one client's submissions and routes them to the
-// open round, mirroring the coordinator's direct-client policy: a
-// malformed submission (wrong exchange count) drops the connection, a
-// late or duplicate one is per-message noise, and a disconnect notifies
-// every pending round so collection closes early.
-func (f *Frontend) readLoop(cc *clientConn) {
-	defer func() {
-		f.mu.Lock()
-		delete(f.clients, cc)
-		open := make([]*frontRound, 0, len(f.pending))
-		for _, fr := range f.pending {
-			open = append(open, fr)
-		}
-		f.mu.Unlock()
-		cc.close()
-		for _, fr := range open {
-			fr.drop(cc)
-		}
-	}()
-	for {
-		msg, err := cc.conn.Recv()
-		if err != nil {
-			return
-		}
-		if msg.Kind != wire.KindSubmit {
-			continue
-		}
-		f.mu.Lock()
-		fr := f.pending[msg.Proto]
-		f.mu.Unlock()
-		if fr == nil || fr.round != msg.Round {
-			continue
-		}
-		if len(msg.Body) != fr.perClient {
-			return // wrong exchange count: misconfigured client, drop it
-		}
-		_ = fr.record(cc, msg.Body)
-	}
+// openRound returns the round collecting submissions for proto, or nil.
+func (f *Frontend) openRound(proto wire.Proto) *collect.Round {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.pending[proto]
 }
 
 // Close disconnects all clients and the pipe.
@@ -458,11 +436,11 @@ func (f *Frontend) Close() error {
 	f.closeOnce.Do(func() {
 		close(f.closeCh)
 		f.mu.Lock()
-		for cc := range f.clients {
-			cc.close()
+		for c := range f.clients {
+			c.Close()
 		}
 		if f.pipe != nil {
-			f.pipe.close()
+			f.pipe.Close()
 			f.pipe = nil
 		}
 		f.mu.Unlock()
@@ -480,5 +458,5 @@ type roundKey struct {
 // clients in batch order, each owning perClient onions of the reply.
 type sentRound struct {
 	perClient int
-	order     []*clientConn
+	order     []*collect.Conn
 }

@@ -313,22 +313,7 @@ func (s *Server) ConvoRound(round uint64, onions [][]byte) ([][]byte, error) {
 	expectedReplySize := convo.SealedSize + box.Overhead*(s.chainLen()-p)
 
 	// Step 1: collect and decrypt requests.
-	inner := make([][]byte, len(onions))
-	keys := make([]*[box.KeySize]byte, len(onions))
-	parallel.For(len(onions), s.cfg.Workers, func(i int) {
-		in, k, err := onion.UnwrapLayer(onions[i], &s.cfg.Priv, round, p)
-		if err == nil {
-			inner[i], keys[i] = in, k
-		}
-	})
-	fwdIdx := make([]int, 0, len(onions))
-	fwd := make([][]byte, 0, len(onions))
-	for i := range inner {
-		if keys[i] != nil {
-			fwdIdx = append(fwdIdx, i)
-			fwd = append(fwd, inner[i])
-		}
-	}
+	fwd, fwdIdx, keys := s.unwrapAll(round, onions)
 	nReal := len(fwd)
 
 	var replies [][]byte
@@ -356,17 +341,11 @@ func (s *Server) ConvoRound(round uint64, onions [][]byte) ([][]byte, error) {
 		// chain.
 		if s.cfg.ConvoNoise != nil {
 			gen := convo.NoiseGen{Dist: s.cfg.ConvoNoise, Src: s.cfg.NoiseSrc, Rand: s.cfg.NoiseRand}
-			payloads := gen.Generate()
-			noiseOnions := make([][]byte, len(payloads))
-			wrapErr := parallel.ForErr(len(payloads), s.cfg.Workers, func(i int) error {
-				o, _, err := onion.Wrap(payloads[i], round, p+1, s.cfg.ChainPubs[p+1:], nil)
-				noiseOnions[i] = o
-				return err
-			})
-			if wrapErr != nil {
-				return nil, fmt.Errorf("mixnet: wrapping noise: %w", wrapErr)
+			cover, err := s.wrapNoise(round, gen.Generate())
+			if err != nil {
+				return nil, fmt.Errorf("mixnet: wrapping noise: %w", err)
 			}
-			fwd = append(fwd, noiseOnions...)
+			fwd = append(fwd, cover...)
 		}
 
 		// Step 3a: shuffle and forward.
@@ -405,21 +384,7 @@ func (s *Server) DialRound(round uint64, m uint32, onions [][]byte) error {
 	if err := s.checkRound(wire.ProtoDial, round); err != nil {
 		return err
 	}
-	p := s.cfg.Position
-
-	inner := make([][]byte, len(onions))
-	parallel.For(len(onions), s.cfg.Workers, func(i int) {
-		in, _, err := onion.UnwrapLayer(onions[i], &s.cfg.Priv, round, p)
-		if err == nil {
-			inner[i] = in
-		}
-	})
-	fwd := make([][]byte, 0, len(onions))
-	for _, in := range inner {
-		if in != nil {
-			fwd = append(fwd, in)
-		}
-	}
+	fwd, _, _ := s.unwrapAll(round, onions)
 
 	if s.last {
 		// File invitations into buckets; the service adds the last
@@ -437,22 +402,54 @@ func (s *Server) DialRound(round uint64, m uint32, onions [][]byte) error {
 	// remaining chain.
 	if s.cfg.DialNoise != nil {
 		gen := dial.NoiseGen{Dist: s.cfg.DialNoise, Src: s.cfg.NoiseSrc, Rand: s.cfg.NoiseRand}
-		payloads := gen.Generate(m)
-		noiseOnions := make([][]byte, len(payloads))
-		wrapErr := parallel.ForErr(len(payloads), s.cfg.Workers, func(i int) error {
-			o, _, err := onion.Wrap(payloads[i], round, p+1, s.cfg.ChainPubs[p+1:], nil)
-			noiseOnions[i] = o
-			return err
-		})
-		if wrapErr != nil {
-			return fmt.Errorf("mixnet: wrapping dial noise: %w", wrapErr)
+		cover, err := s.wrapNoise(round, gen.Generate(m))
+		if err != nil {
+			return fmt.Errorf("mixnet: wrapping dial noise: %w", err)
 		}
-		fwd = append(fwd, noiseOnions...)
+		fwd = append(fwd, cover...)
 	}
 
 	perm := shuffle.New(len(fwd), s.cfg.NoiseRand)
 	_, err := s.forwardDial(round, m, perm.Apply(fwd))
 	return err
+}
+
+// unwrapAll removes this server's layer from every onion of a round in
+// parallel. It returns the payloads that opened, in batch order, with
+// each one's batch index; keys holds the reply key of every batch
+// position, nil where the onion did not open.
+func (s *Server) unwrapAll(round uint64, onions [][]byte) (fwd [][]byte, idx []int, keys []*[box.KeySize]byte) {
+	inner := make([][]byte, len(onions))
+	keys = make([]*[box.KeySize]byte, len(onions))
+	parallel.For(len(onions), s.cfg.Workers, func(i int) {
+		in, k, err := onion.UnwrapLayer(onions[i], &s.cfg.Priv, round, s.cfg.Position)
+		if err == nil {
+			inner[i], keys[i] = in, k
+		}
+	})
+	// Compact in place: the write position never passes the read one.
+	idx = make([]int, 0, len(onions))
+	fwd = inner[:0]
+	for i, k := range keys {
+		if k != nil {
+			idx = append(idx, i)
+			fwd = append(fwd, inner[i])
+		}
+	}
+	return fwd, idx, keys
+}
+
+// wrapNoise wraps this server's noise payloads in parallel for the
+// servers after it in the chain.
+func (s *Server) wrapNoise(round uint64, payloads [][]byte) ([][]byte, error) {
+	p := s.cfg.Position
+	out := make([][]byte, len(payloads))
+	err := parallel.ForErr(len(payloads), s.cfg.Workers, func(i int) error {
+		o, _, err := onion.Wrap(payloads[i], round, p+1, s.cfg.ChainPubs[p+1:], nil)
+		out[i] = o
+		return err
+	})
+	return out, err
 }
 
 // forward sends a conversation batch to the successor and waits for its

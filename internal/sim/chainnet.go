@@ -14,6 +14,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
@@ -577,14 +578,55 @@ func (cn *ChainNet) KillEntry() {
 // coordinator pipe are severed. Frontends hold zero round state, so
 // RestartFrontend needs no disk — a fresh process on the same address
 // rejoins the deployment at the next round.
+//
+// With the coordinator up, KillFrontend first lets every frontend's pipe
+// come up and then returns only once the coordinator has dropped the
+// dead one (each wait bounded by a few seconds). Otherwise a pipe count
+// taken right after the kill could count the dead pipe in place of a
+// live frontend's pipe that is still connecting.
 func (cn *ChainNet) KillFrontend(i int) {
 	if i < 0 || i >= len(cn.Fronts) || cn.Fronts[i] == nil {
 		return
 	}
+	cn.awaitPipes(time.Now().Add(5 * time.Second))
+	cn.stopFrontend(i)
+	cn.awaitPipes(time.Now().Add(5 * time.Second))
+}
+
+// stopFrontend severs frontend i's clients and pipe.
+func (cn *ChainNet) stopFrontend(i int) {
 	cn.frontCancels[i]()
 	cn.frontLs[i].Close()
 	cn.Fronts[i].Close()
 	cn.Fronts[i] = nil
+}
+
+// awaitPipes waits until every live frontend reports its pipe up and the
+// coordinator holds exactly that many pipes, or until deadline. It
+// reports whether that state was reached; without a coordinator it
+// returns false at once.
+func (cn *ChainNet) awaitPipes(deadline time.Time) bool {
+	if cn.Coord == nil {
+		return false
+	}
+	for {
+		live, up := 0, 0
+		for _, fe := range cn.Fronts {
+			if fe != nil {
+				live++
+				if fe.Connected() {
+					up++
+				}
+			}
+		}
+		if up == live && cn.Coord.NumFrontends() == live {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // RestartFrontend simulates frontend i crashing (if still up) and a
@@ -636,8 +678,10 @@ func (cn *ChainNet) RestartEntry() error {
 
 // Close shuts every node down and releases every round-state lock.
 func (cn *ChainNet) Close() {
-	for i := range cn.Fronts {
-		cn.KillFrontend(i)
+	for i, fe := range cn.Fronts {
+		if fe != nil {
+			cn.stopFrontend(i)
+		}
 	}
 	if cn.Coord != nil {
 		cn.entryL.Close()
@@ -782,18 +826,9 @@ func (cn *ChainNet) RunRounds(clients, n int) ([]uint64, error) {
 	}
 	// With a frontend tier, every live frontend's pipe must be up before
 	// the first announcement, or its clients miss the round.
-	live := 0
-	for _, fe := range cn.Fronts {
-		if fe != nil {
-			live++
-		}
-	}
-	for cn.Coord.NumFrontends() != live {
-		if time.Now().After(deadline) {
-			closeAll()
-			return nil, fmt.Errorf("sim: %d of %d frontend pipes connected", cn.Coord.NumFrontends(), live)
-		}
-		time.Sleep(time.Millisecond)
+	if !cn.awaitPipes(deadline) {
+		closeAll()
+		return nil, errors.New("sim: not every live frontend's pipe connected")
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
